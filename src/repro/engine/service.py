@@ -346,21 +346,6 @@ class SweepServiceStats:
         return out
 
 
-def _circuit_digest(circuit) -> str:
-    """Return a stable hex digest of a gate-level circuit's structure."""
-    h = hashlib.sha256()
-    h.update(repr(getattr(circuit, "name", "")).encode())
-    for node in circuit.nodes:
-        h.update(
-            (
-                "%s|%s|%s;"
-                % (node.name, getattr(node.op, "name", node.op), tuple(node.fanins))
-            ).encode()
-        )
-    h.update(repr(sorted(circuit.outputs.items())).encode())
-    return h.hexdigest()
-
-
 def _float_digest(values) -> str:
     h = hashlib.sha256()
     for v in values:
@@ -377,24 +362,28 @@ def structure_key(problem, truncation: int, ordering) -> Tuple:
     the defect model is free to differ.
     """
     return (
-        _circuit_digest(problem.fault_tree),
+        problem.fault_tree.digest(),
         tuple(problem.component_names),
         int(truncation),
         ordering.key(),
     )
 
 
-def result_key(problem, truncation: int, ordering) -> Tuple:
+def result_key(problem, truncation: int, ordering, skey: Optional[Tuple] = None) -> Tuple:
     """Key identifying the final result of a point (structure + defect model).
 
     The probability traversal consumes exactly the lethal count pmf
     ``Q'_0..Q'_M`` (plus the tail mass) and the conditional hit vector
-    ``P'_i``, so hashing those captures every defect-model input.
+    ``P'_i``, so hashing those captures every defect-model input.  The key
+    extends the point's structure key; pass it as ``skey`` when it is
+    already known so it is not computed twice.
     """
+    if skey is None:
+        skey = structure_key(problem, truncation, ordering)
     lethal = problem.lethal_defect_distribution()
     pmf = [lethal.pmf(k) for k in range(int(truncation) + 1)]
     pmf.append(lethal.tail(int(truncation)))
-    return structure_key(problem, truncation, ordering) + (
+    return skey + (
         _float_digest(pmf),
         _float_digest(problem.lethal_component_probabilities()),
     )
@@ -615,7 +604,8 @@ class SweepService:
         for idx, point in enumerate(points):
             truncation = self._resolve_truncation(point)
             truncations[idx] = truncation
-            rkey = result_key(point.problem, truncation, self.ordering)
+            skey = structure_key(point.problem, truncation, self.ordering)
+            rkey = result_key(point.problem, truncation, self.ordering, skey)
             keys[idx] = rkey
             with self._lock:
                 cached = self._results.get(rkey, _MISS)
@@ -630,7 +620,6 @@ class SweepService:
                 self._remember_result(rkey, cached)
                 results[idx] = cached
                 continue
-            skey = structure_key(point.problem, truncation, self.ordering)
             pending.setdefault(skey, []).append(idx)
 
         if pending:

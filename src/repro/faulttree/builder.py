@@ -65,7 +65,7 @@ class FaultTreeBuilder:
 
     def failed(self, component: str) -> Expr:
         """Return the basic event "component ``component`` is failed" (``x_i``)."""
-        known = component in self._circuit.input_names
+        known = self._circuit.has_input(component)
         index = self._circuit.add_input(component)
         if not known:
             self._component_order.append(component)

@@ -9,10 +9,16 @@ gate is added, so the node list is always a valid topological order.
 The class is deliberately small: the ordering heuristics
 (:mod:`repro.ordering`) and the ROBDD builder (:mod:`repro.bdd.builder`)
 operate on it only through indices, ordered fanins and fanout information.
+
+A circuit can be frozen (:meth:`Circuit.freeze`) once built; the benchmark
+generators share one frozen circuit between every problem they return, and
+:meth:`Circuit.digest` — the structure's content address, used as a key by
+the sweep service and the structure store — is computed once per circuit.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .ops import CircuitError, GateOp, evaluate_gate, validate_arity
@@ -71,10 +77,14 @@ class Circuit:
     * The two constants are created lazily and are shared.
     * Outputs are named; :attr:`primary_output` returns the single output when
       there is exactly one (the usual fault-tree case).
+    * After :meth:`freeze` every mutator (including renaming) raises
+      :class:`CircuitError`; :meth:`digest` is cached until the next mutation.
     """
 
     def __init__(self, name: str = "circuit") -> None:
-        self.name = name
+        self._frozen = False
+        self._digest: Optional[str] = None
+        self._name = name
         self._nodes: List[Node] = []
         self._inputs: List[int] = []
         self._input_index: Dict[str, int] = {}
@@ -86,8 +96,29 @@ class Circuit:
     # Construction
     # ------------------------------------------------------------------ #
 
+    def _mutate(self) -> None:
+        """Guard of every mutator: refuse when frozen, else drop the digest."""
+        if self._frozen:
+            raise CircuitError("circuit %r is frozen" % (self._name,))
+        self._digest = None
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._mutate()
+        self._name = value
+
+    def freeze(self) -> "Circuit":
+        """Make the circuit immutable (idempotent); returns ``self``."""
+        self._frozen = True
+        return self
+
     def add_input(self, name: str) -> int:
         """Create (or return) the input variable called ``name``."""
+        self._mutate()
         if name in self._input_index:
             return self._input_index[name]
         index = len(self._nodes)
@@ -98,6 +129,7 @@ class Circuit:
 
     def add_const(self, value: bool) -> int:
         """Create (or return) the constant node for ``value``."""
+        self._mutate()
         value = bool(value)
         if value in self._const_index:
             return self._const_index[value]
@@ -119,6 +151,7 @@ class Circuit:
         share:
             When true (default) structurally identical gates are shared.
         """
+        self._mutate()
         fanins = tuple(int(f) for f in fanins)
         validate_arity(op, len(fanins))
         for f in fanins:
@@ -137,6 +170,7 @@ class Circuit:
 
     def set_output(self, index: int, name: str = "out") -> None:
         """Declare node ``index`` as the output called ``name``."""
+        self._mutate()
         if not 0 <= index < len(self._nodes):
             raise CircuitError("output index %d out of range" % index)
         self._outputs[name] = index
@@ -178,6 +212,10 @@ class Circuit:
     def node(self, index: int) -> Node:
         """Return the node with the given index."""
         return self._nodes[index]
+
+    def has_input(self, name: str) -> bool:
+        """Whether an input variable called ``name`` exists (O(1))."""
+        return name in self._input_index
 
     def input_index(self, name: str) -> int:
         """Return the node index of the input called ``name``."""
@@ -304,6 +342,30 @@ class Circuit:
     # ------------------------------------------------------------------ #
     # Misc
     # ------------------------------------------------------------------ #
+
+    def digest(self) -> str:
+        """Return a stable SHA-256 hex digest of the circuit's structure.
+
+        It covers the name, every node (name, operator, fanins) in order and
+        the outputs, so two circuits with equal digests build the same
+        diagrams.  Computed once and cached until the next mutation.
+        """
+        if self._digest is None:
+            self._digest = self._compute_digest()
+        return self._digest
+
+    def _compute_digest(self) -> str:
+        h = hashlib.sha256()
+        h.update(repr(self._name).encode())
+        for node in self._nodes:
+            h.update(
+                (
+                    "%s|%s|%s;"
+                    % (node.name, getattr(node.op, "name", node.op), node.fanins)
+                ).encode()
+            )
+        h.update(repr(sorted(self._outputs.items())).encode())
+        return h.hexdigest()
 
     def stats(self) -> Dict[str, int]:
         """Return a small summary dictionary (inputs, gates, depth)."""

@@ -121,11 +121,8 @@ class ReliabilityAnalyzer:
         bdd_manager, bdd_root, build_stats = builder.build(gfunction.binary_circuit())
         mdd_manager, mdd_root = convert_bdd_to_mdd(bdd_manager, bdd_root, grouped.groups)
 
-        support = [
-            name
-            for name in problem.component_names
-            if name in set(problem.fault_tree.input_names)
-        ]
+        inputs = set(problem.fault_tree.input_names)
+        support = [name for name in problem.component_names if name in inputs]
         unreliabilities = field_model.unreliabilities(support, mission_time)
         distributions = gfunction.variable_distributions(
             lethal, problem.lethal_component_probabilities(), unreliabilities

@@ -39,6 +39,7 @@ unreadable, so the generator exposes the thresholds:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..distributions import (
@@ -196,10 +197,13 @@ def esen_fault_tree(
 
     ``required_ipa`` / ``required_ipb`` default to ``n*m/2 - 1`` (tolerate the
     loss of one core on each side).
+
+    The arguments are validated on every call, but the circuit is built
+    once per argument set and frozen: every call (and so every
+    :func:`esen_problem` of a density sweep) returns the same object.
     """
     classes = esen_component_classes(n, m)
     cores_per_side = len(classes["IPA"])
-    stages = num_stages(n)
     if required_ipa is None:
         required_ipa = max(1, cores_per_side - 1)
     if required_ipb is None:
@@ -208,7 +212,13 @@ def esen_fault_tree(
         raise ValueError("required_ipa must be in [1, %d]" % cores_per_side)
     if not 1 <= required_ipb <= cores_per_side:
         raise ValueError("required_ipb must be in [1, %d]" % cores_per_side)
+    return _esen_fault_tree(n, m, required_ipa, required_ipb)
 
+
+@functools.lru_cache(maxsize=32)
+def _esen_fault_tree(n: int, m: int, required_ipa: int, required_ipb: int) -> Circuit:
+    classes = esen_component_classes(n, m)
+    stages = num_stages(n)
     ft = FaultTreeBuilder("ESEN%dx%d" % (n, m))
 
     # switch position OK: first/last stage positions have a redundant spare
@@ -257,7 +267,7 @@ def esen_fault_tree(
         full_access,
     )
     ft.set_top_from_functioning(functioning)
-    return ft.build()
+    return ft.build().freeze()
 
 
 # --------------------------------------------------------------------------- #

@@ -20,6 +20,8 @@ Component inventory (matches Table 1 of the paper: ``C = 6n + 6``):
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from ..distributions import (
@@ -75,7 +77,16 @@ def ms_fault_tree(n: int) -> Circuit:
     The system is functioning when there exists an unfailed master ``IPM_j``
     such that, for every cluster ``i``, there exist a slave ``IPS_i_k`` and a
     bus ``b`` with ``IPS_i_k``, ``CS_i_k_b`` and ``CM_j_b`` all unfailed.
+
+    The circuit is built once per ``n`` and frozen: every call (and so
+    every :func:`ms_problem` of a density sweep) returns the same object.
     """
+    # reject non-integers before the cache, where 2.0 would find the entry of 2
+    return _ms_fault_tree(operator.index(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _ms_fault_tree(n: int) -> Circuit:
     ft = FaultTreeBuilder("MS%d" % n)
     master_terms = []
     for j in (1, 2):
@@ -95,7 +106,7 @@ def ms_fault_tree(n: int) -> Circuit:
         master_terms.append(ft.and_(ft.working("IPM_%d" % j), ft.and_(*cluster_terms)))
     functioning = ft.or_(*master_terms)
     ft.set_top_from_functioning(functioning)
-    return ft.build()
+    return ft.build().freeze()
 
 
 def ms_component_model(

@@ -5,14 +5,17 @@ import pytest
 from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
+import repro.engine.service as service_module
 from repro.engine.service import (
     SweepPoint,
     SweepService,
     result_key,
     structure_key,
 )
-from repro.faulttree import FaultTreeBuilder
+from repro.faulttree import Circuit, FaultTreeBuilder
+from repro.faulttree.parser import loads
 from repro.ordering import OrderingSpec
+from repro.soc import benchmark_problem
 
 
 def build_tree():
@@ -125,6 +128,81 @@ class TestResultCaching:
         service = SweepService(max_results=3)
         service.density_sweep(make_problem, MEANS, max_defects=2)
         assert len(service._results) == 3
+
+
+#: Circuit digests as the store has always keyed them; a change here turns
+#: every existing store entry and result-cache file into a miss.
+GOLDEN_DIGESTS = {
+    "ESEN4x2": "a797e750a20a3f0b8b04f0c29aeeb930e5e0e320431dcd4d2a4df5e071b7e615",
+    "MS4": "94ad825aa252ec7ea201a5c62ffe78ead132f530d4e9987b1573143207394e52",
+}
+
+PARSED_TREE = """
+toplevel SYSTEM;
+SYSTEM and MASTERS CLUSTER1;
+MASTERS and IPM_1 IPM_2;
+CLUSTER1 2of3 IPS_1 IPS_2 IPS_3;
+IPM_1 prob 0.1;
+IPM_2 prob 0.1;
+IPS_1 prob 0.05;
+IPS_2 prob 0.05;
+IPS_3 prob 0.05;
+"""
+
+
+class TestKeys:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_benchmark_digests_are_pinned(self, name):
+        assert benchmark_problem(name).fault_tree.digest() == GOLDEN_DIGESTS[name]
+
+    def test_parsed_tree_digest_is_pinned(self):
+        circuit, _ = loads(PARSED_TREE)
+        assert circuit.digest() == (
+            "5cd41bdd9b0d5177fdd5544a4a213596ad12f0e74a8dd8f1c16db07a1284e9a8"
+        )
+
+    def test_result_key_extends_a_given_structure_key(self):
+        ordering = OrderingSpec("w", "ml")
+        problem = make_problem(0.7)
+        skey = structure_key(problem, 3, ordering)
+        full = result_key(problem, 3, ordering, skey)
+        assert full == result_key(problem, 3, ordering)
+        assert full[: len(skey)] == skey
+
+    def test_warm_sweep_digests_once_and_keys_once_per_point(self, tmp_path, monkeypatch):
+        densities = [0.5 + 0.025 * i for i in range(96)]
+
+        def factory(mean):
+            return benchmark_problem("MS2", mean_defects=mean)
+
+        warm = SweepService(store_dir=str(tmp_path / "store"))
+        warm.prime_structure(factory(1.0), 3)
+
+        digests = []
+        original_digest = Circuit._compute_digest
+
+        def counting_digest(circuit):
+            digests.append(circuit)
+            return original_digest(circuit)
+
+        structure_keys = []
+        original_key = service_module.structure_key
+
+        def counting_key(*args, **kwargs):
+            structure_keys.append(args)
+            return original_key(*args, **kwargs)
+
+        built = warm.stats.structures_built
+        monkeypatch.setattr(Circuit, "_compute_digest", counting_digest)
+        monkeypatch.setattr(service_module, "structure_key", counting_key)
+        rows = warm.density_sweep(factory, densities, max_defects=3)
+        assert len(digests) <= 1
+        assert len(structure_keys) == len(densities)
+        assert warm.stats.structures_built == built
+        monkeypatch.undo()
+
+        reference = SweepService().density_sweep(factory, densities, max_defects=3)
+        assert rows == reference  # bit for bit
 
 
 class TestSharedMemoryDispatch:

@@ -161,3 +161,63 @@ class TestStructuralQueries:
         assert stats["inputs"] == 3
         assert stats["gates"] == 3
         assert stats["depth"] == 2
+
+
+class TestFreezeAndDigest:
+    def test_frozen_circuit_rejects_every_mutator(self):
+        circuit = build_small_circuit().freeze()
+        before = circuit.digest()
+        with pytest.raises(CircuitError):
+            circuit.add_input("d")
+        with pytest.raises(CircuitError):
+            circuit.add_const(True)
+        with pytest.raises(CircuitError):
+            circuit.add_gate(GateOp.AND, [0, 1])
+        with pytest.raises(CircuitError):
+            circuit.set_output(0, "other")
+        with pytest.raises(CircuitError):
+            circuit.name = "renamed"
+        assert circuit.digest() == before
+        assert len(circuit) == 6 and circuit.outputs == {"out": 5}
+
+    def test_frozen_circuit_still_answers_queries(self):
+        circuit = build_small_circuit()
+        assert circuit.freeze() is circuit
+        assert circuit.freeze() is circuit  # idempotent
+        assert circuit.evaluate_output({"a": True, "b": True, "c": True}) is True
+        assert circuit.has_input("a") and not circuit.has_input("d")
+
+    def test_digest_is_computed_once(self, monkeypatch):
+        circuit = build_small_circuit()
+        calls = []
+        original = Circuit._compute_digest
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Circuit, "_compute_digest", counting)
+        first = circuit.digest()
+        assert circuit.digest() == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c.add_input("d"),
+            lambda c: c.add_const(False),
+            lambda c: c.add_gate(GateOp.XOR, [0, 1]),
+            lambda c: c.set_output(0, "second"),
+            lambda c: setattr(c, "name", "renamed"),
+        ],
+        ids=["add_input", "add_const", "add_gate", "set_output", "rename"],
+    )
+    def test_mutation_invalidates_the_cached_digest(self, mutate):
+        circuit = build_small_circuit()
+        before = circuit.digest()
+        mutate(circuit)
+        after = circuit.digest()
+        assert after != before
+        rebuilt = build_small_circuit()
+        mutate(rebuilt)
+        assert rebuilt.digest() == after  # the cache held nothing stale

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faulttree import CircuitError
 from repro.soc import BENCHMARK_NAMES, BENCHMARKS, benchmark_problem
 
 #: Table 1 of the paper.
@@ -38,3 +39,25 @@ class TestRegistry:
         problem = benchmark_problem("MS2", mean_defects=4.0, lethality=0.25)
         assert problem.lethality == pytest.approx(0.25)
         assert problem.lethal_defect_distribution().mean() == pytest.approx(1.0)
+
+
+class TestSharedCircuits:
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_every_density_shares_one_frozen_circuit(self, name):
+        low = benchmark_problem(name, mean_defects=0.5)
+        high = benchmark_problem(name, mean_defects=3.0, clustering=1.0)
+        assert low.fault_tree is high.fault_tree
+        with pytest.raises(CircuitError):
+            low.fault_tree.add_input("EXTRA")
+        assert low.lethal_defect_distribution().mean() != high.lethal_defect_distribution().mean()
+
+    def test_arguments_are_validated_on_every_call(self):
+        from repro.soc import esen_fault_tree
+
+        shared = esen_fault_tree(4, 2)
+        assert esen_fault_tree(4, 2, required_ipa=3, required_ipb=3) is shared
+        assert esen_fault_tree(4, 2, required_ipa=2) is not shared
+        with pytest.raises(ValueError):
+            esen_fault_tree(4, 2, required_ipa=9)
+        with pytest.raises(ValueError):
+            esen_fault_tree(4, 3)
